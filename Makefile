@@ -2,16 +2,21 @@ GO ?= go
 
 .PHONY: check build test race vet audit chaos fuzz-smoke daemon-smoke crash-smoke replay-smoke bench bench-figures bench-smoke bench-scale bench-compare figures clean
 
-## check: the full gate — vet, build, race-enabled tests. The race run
-## covers the intra-run parallel engine (cross-worker determinism and
-## snapshot-resume tests in internal/sim shard real work at Workers=2/8).
+## check: the full gate — vet (with the gofmt check), build,
+## race-enabled tests. The race run covers the concurrent layers: the
+## replica and figure pools (internal/runner), the daemon's scheduler
+## and stream brokers, and the shared net caches.
 check: vet build race
 
 build:
 	$(GO) build ./...
 
+## vet: go vet plus a formatting gate — fails when gofmt would rewrite
+## any file, listing the offenders.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -67,8 +72,8 @@ crash-smoke:
 	$(GO) test -v ./internal/crashfs ./internal/safeio
 
 ## replay-smoke: the trace-replay workload gate — the golden replay
-## fixture (series + collateral counters pinned across Workers=1/2/8
-## and a mid-run checkpoint/resume), the streaming replayer's
+## fixture (series + collateral counters, and a mid-run
+## checkpoint/resume at every tick), the streaming replayer's
 ## determinism/Skip/constant-memory guards, the core workload
 ## lowering, and the CLI end-to-end: generate a trace, replay it under
 ## the invariant audit, and check the collateral counters balance.
@@ -95,9 +100,8 @@ bench-smoke:
 	$(GO) test -short -run xxx -bench . -benchtime 1x ./...
 
 ## bench-scale: the large-topology scale suite (BenchmarkEngineTickScale:
-## two-level AS graphs from 1k to 10M hosts, 1/2/NumCPU intra-run
-## workers; ns/tick, B/host, and per-leaf peak RSS recorded in
-## BENCH_engine.json). The full run includes the 1M- and 10M-host
+## two-level AS graphs from 1k to 10M hosts; ns/tick, B/host, and
+## per-leaf peak RSS recorded in BENCH_engine.json). The full run includes the 1M- and 10M-host
 ## sizes; CI smokes it with `make bench-scale SHORT=-short`, which
 ## stops at 10k hosts. Also runs the quiescent-tick benchmark, which
 ## fails if an idle tick is not >=10x cheaper than an active one.

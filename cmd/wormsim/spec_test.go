@@ -136,9 +136,8 @@ func TestRunSpecMalformed(t *testing.T) {
 	}
 }
 
-// TestRunWarningsOnStderr: scenario advisories surface on stderr for
-// both construction paths — a spec-built scenario (subnet tracking on a
-// star) and a flag-built one (workers on a tiny topology).
+// TestRunWarningsOnStderr: scenario advisories of a spec-built scenario
+// (subnet tracking on a star) surface on stderr.
 func TestRunWarningsOnStderr(t *testing.T) {
 	t.Run("spec", func(t *testing.T) {
 		path := writeSpec(t, `
@@ -167,21 +166,6 @@ run:
 		})
 		if !strings.Contains(errOut, "wormsim: warning:") || !strings.Contains(errOut, "star") {
 			t.Errorf("no star/subnet warning on stderr:\n%s", errOut)
-		}
-	})
-	t.Run("flags", func(t *testing.T) {
-		errOut := captureStderr(t, func() {
-			captureStdout(t, func() {
-				err := run(context.Background(), []string{
-					"-topology", "star", "-n", "40", "-ticks", "10", "-runs", "1", "-workers", "2",
-				})
-				if err != nil {
-					t.Errorf("run: %v", err)
-				}
-			})
-		})
-		if !strings.Contains(errOut, "wormsim: warning:") || !strings.Contains(errOut, "workers") {
-			t.Errorf("no workers warning on stderr:\n%s", errOut)
 		}
 	})
 }

@@ -21,8 +21,8 @@
 //     cmd/traceanalyze — command-line tools
 //
 // Every run is deterministic by construction — per-node RNG streams
-// make results independent of both replica-level (-jobs) and
-// intra-run (-workers) parallelism (DESIGN.md §12) — and the
+// and a fixed per-tick visit order make results independent of
+// replica-level (-jobs) parallelism (DESIGN.md §12) — and the
 // simulator scales to million-host two-level topologies without an
 // O(N²) routing table (DESIGN.md §9, `make bench-scale`).
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,6 +23,9 @@ func smallScenario() Scenario {
 	}
 }
 
+// The TestSimulateContext* tests cover SimulateOptions' context handling:
+// job-count identity, progress, timeout, and cancellation.
+
 func TestSimulateContextMatchesSimulate(t *testing.T) {
 	sc := smallScenario()
 	plain, err := sc.Simulate(3)
@@ -29,12 +33,12 @@ func TestSimulateContextMatchesSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, jobs := range []int{1, 4} {
-		ctxRes, err := sc.SimulateContext(context.Background(), 3, WithJobs(jobs))
+		ctxRes, _, err := sc.SimulateOptions(context.Background(), 3, RunOptions{Jobs: jobs})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		if !reflect.DeepEqual(plain, ctxRes) {
-			t.Fatalf("jobs=%d: SimulateContext differs from Simulate", jobs)
+			t.Fatalf("jobs=%d: SimulateOptions differs from Simulate", jobs)
 		}
 	}
 }
@@ -42,9 +46,10 @@ func TestSimulateContextMatchesSimulate(t *testing.T) {
 func TestSimulateContextProgress(t *testing.T) {
 	sc := smallScenario()
 	var final runner.Stats
-	if _, err := sc.SimulateContext(context.Background(), 4,
-		WithJobs(2),
-		WithProgress(func(s runner.Stats) { final = s })); err != nil {
+	if _, _, err := sc.SimulateOptions(context.Background(), 4, RunOptions{
+		Jobs:     2,
+		Progress: func(s runner.Stats) { final = s },
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if final.Completed != 4 || final.Runs != 4 {
@@ -58,7 +63,7 @@ func TestSimulateContextProgress(t *testing.T) {
 func TestSimulateContextTimeout(t *testing.T) {
 	sc := smallScenario()
 	sc.Ticks = 100000 // far beyond anything a nanosecond budget allows
-	_, err := sc.SimulateContext(context.Background(), 4, WithTimeout(time.Nanosecond))
+	_, _, err := sc.SimulateOptions(context.Background(), 4, RunOptions{Timeout: time.Nanosecond})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -68,7 +73,7 @@ func TestSimulateContextCancelled(t *testing.T) {
 	sc := smallScenario()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sc.SimulateContext(ctx, 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := sc.SimulateOptions(ctx, 2, RunOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -101,33 +106,17 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestScenarioWorkers(t *testing.T) {
-	bad := RunOptions{Workers: -1}
-	if err := bad.Validate(); err == nil {
-		t.Error("Workers=-1 should fail options validation")
+func TestScenarioWarnings(t *testing.T) {
+	pl := smallScenario()
+	if w := pl.Warnings(); len(w) != 0 {
+		t.Errorf("power-law scenario should not warn, got %v", w)
 	}
-
-	small := smallScenario()
-	if w := small.Warnings(RunOptions{Workers: 4}); len(w) == 0 {
-		t.Error("Workers=4 on a 150-node topology should warn about unprofitable sharding")
-	}
-	if w := small.Warnings(RunOptions{Workers: 1}); len(w) != 0 {
-		t.Errorf("Workers=1 should not warn, got %v", w)
-	}
-
-	// The worker count is a throughput knob only: the averaged series
-	// must be byte-identical to the serial run.
-	sc := smallScenario()
-	want, err := sc.Simulate(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := sc.SimulateOptions(context.Background(), 2, RunOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Infected, want.Infected) || !reflect.DeepEqual(got.Backlog, want.Backlog) {
-		t.Error("Workers=4 series diverged from serial")
+	star := smallScenario()
+	star.Topology = Star(40)
+	star.Defense = NoDefense()
+	star.TrackSubnets = true
+	if w := star.Warnings(); len(w) != 1 || !strings.Contains(w[0], "star") {
+		t.Errorf("subnet tracking on a star should warn once, got %v", w)
 	}
 }
 

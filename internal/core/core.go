@@ -12,17 +12,12 @@
 //	}
 //	res, err := sc.Simulate(10)
 //
-// Long batches take a context and run options — either functional
-// options or the declarative core.RunOptions struct (the two are
-// interchangeable; the functional options are setters over RunOptions):
-//
-//	res, err := sc.SimulateContext(ctx, 10,
-//	    core.WithJobs(4),
-//	    core.WithTimeout(time.Minute),
-//	    core.WithProgress(func(s runner.Stats) { ... }))
+// Long batches take a context and the declarative core.RunOptions:
 //
 //	res, stats, err := sc.SimulateOptions(ctx, 10, core.RunOptions{
-//	    Jobs: 4, Timeout: time.Minute,
+//	    Jobs:     4,
+//	    Timeout:  time.Minute,
+//	    Progress: func(s runner.Stats) { ... },
 //	})
 //
 // Scenarios also have a declarative file format — a versioned JSON/YAML
@@ -560,41 +555,25 @@ func (s *Scenario) build(net *Net) (sim.Config, error) {
 }
 
 // Simulate runs the scenario `runs` times (averaging the series) and
-// returns the per-tick result. It is SimulateContext with a background
+// returns the per-tick result. It is SimulateOptions with a background
 // context and default options.
 func (s *Scenario) Simulate(runs int) (*sim.Result, error) {
-	return s.SimulateContext(context.Background(), runs)
-}
-
-// SimulateContext runs the scenario `runs` times on a bounded worker
-// pool (averaging the series) and returns the per-tick result. Each
-// replica seeds its RNG from the scenario seed plus its index, so the
-// result is deterministic and independent of the job count. Cancelling
-// ctx (or exceeding WithTimeout) aborts the batch between simulation
-// ticks and returns the context's error.
-func (s *Scenario) SimulateContext(ctx context.Context, runs int, opts ...RunOption) (*sim.Result, error) {
-	res, _, err := s.SimulateStats(ctx, runs, opts...)
+	res, _, err := s.SimulateOptions(context.Background(), runs, RunOptions{})
 	return res, err
 }
 
-// SimulateStats is SimulateContext returning the batch's final
-// runner.Stats (replicas completed/failed/retried, ticks simulated,
-// failure details) alongside the averaged result, for callers that
-// report batch health. It folds the functional options into a
-// RunOptions and delegates to SimulateOptions.
-func (s *Scenario) SimulateStats(ctx context.Context, runs int, opts ...RunOption) (*sim.Result, runner.Stats, error) {
-	var o RunOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return s.SimulateOptions(ctx, runs, o)
-}
-
-// SimulateOptions runs the scenario `runs` times under a declarative
-// RunOptions — the entry point the CLIs, the spec compiler, and the
-// sweep engine share. It validates the options, applies the batch
-// timeout, wires checkpoint/resume sinks, lowers the remaining knobs
-// through RunOptions.RunnerOptions, and executes on sim.MultiRunStats.
+// SimulateOptions runs the scenario `runs` times on a bounded worker
+// pool (averaging the series) under a declarative RunOptions — the
+// entry point the CLIs, the spec compiler, and the sweep engine share.
+// Each replica seeds its RNG from the scenario seed plus its index, so
+// the result is deterministic and independent of the job count.
+// Cancelling ctx (or exceeding Timeout) aborts the batch between
+// simulation ticks and returns the context's error. It validates the
+// options, applies the batch timeout, wires checkpoint/resume sinks,
+// lowers the remaining knobs through RunOptions.RunnerOptions, and
+// executes on sim.MultiRunStats; the returned runner.Stats report
+// batch health (replicas completed/failed/retried, ticks simulated,
+// failure details).
 func (s *Scenario) SimulateOptions(ctx context.Context, runs int, o RunOptions) (*sim.Result, runner.Stats, error) {
 	if err := o.Validate(); err != nil {
 		return nil, runner.Stats{}, err
@@ -608,7 +587,6 @@ func (s *Scenario) SimulateOptions(ctx context.Context, runs int, o RunOptions) 
 	if err != nil {
 		return nil, runner.Stats{}, err
 	}
-	cfg.Workers = o.Workers
 	cfg.StructuralThreshold = o.StructuralThreshold
 	cfg.CollectorFactory = o.Collectors
 	cfg.Check = o.Check
@@ -695,22 +673,12 @@ func (s *Scenario) specNodes() (int, error) {
 	}
 }
 
-// Warnings reports advisory (non-fatal) issues with the scenario under
-// the given run options: configurations that will run correctly but
-// probably not the way the user hoped. Currently it flags intra-run
-// workers on topologies too small to shard profitably — the result is
-// identical either way (DESIGN.md §12), but the goroutine handoff costs
-// more than it saves below sim.MinShardNodes nodes — and tracking
-// options that need structure the topology does not have.
-func (s *Scenario) Warnings(o RunOptions) []string {
+// Warnings reports advisory (non-fatal) issues with the scenario:
+// configurations that will run correctly but probably not the way the
+// user hoped. Currently it flags tracking options that need structure
+// the topology does not have.
+func (s *Scenario) Warnings() []string {
 	var warns []string
-	if o.Workers > 1 {
-		if n, err := s.specNodes(); err == nil && n > 0 && n < sim.MinShardNodes {
-			warns = append(warns, fmt.Sprintf(
-				"core: %d workers on a %d-node topology: sharding pays off above ~%d nodes; expect serial-or-worse speed (results are unaffected)",
-				o.Workers, n, sim.MinShardNodes))
-		}
-	}
 	if s.TrackSubnets && s.Topology.kind == "star" {
 		warns = append(warns, "core: track-subnets on a star topology: stars have no subnet partition; the within-subnet series will be empty")
 	}

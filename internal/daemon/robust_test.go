@@ -154,6 +154,21 @@ func TestScrubQuarantinesCorruptArtifacts(t *testing.T) {
 	}
 }
 
+// waitHeartbeat polls until the job's watchdog heartbeat is armed. The
+// state turns running before runJob arms it, and a sweep in between
+// skips the job.
+func waitHeartbeat(t *testing.T, srv *Server, id string) {
+	t.Helper()
+	j := srv.lookup(id)
+	deadline := time.Now().Add(10 * time.Second)
+	for j.lastBeat.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("watchdog heartbeat never armed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestWatchdogFailsStuckJob: a running job with no tick progress past
 // StuckAfter is cancelled and settles failed with a watchdog error.
 // Stuckness is simulated by sweeping with a far-future clock — the
@@ -162,6 +177,7 @@ func TestWatchdogFailsStuckJob(t *testing.T) {
 	srv, ts := newTestServer(t, Config{StuckAfter: time.Hour})
 	v := submit(t, ts.URL, testSpec("wedge", 20, 1_000_000, 1, ""), "")
 	waitJobState(t, ts.URL, v.ID, StateRunning, 10*time.Second)
+	waitHeartbeat(t, srv, v.ID)
 
 	srv.sweepStuck(time.Now().Add(2 * time.Hour))
 
@@ -193,6 +209,7 @@ func TestWatchdogRequeuesStuckJob(t *testing.T) {
 	srv, ts := newTestServer(t, Config{StuckAfter: time.Hour, StuckRequeue: true})
 	v := submit(t, ts.URL, testSpec("wedge", 20, 1_000_000, 1, ""), "")
 	waitJobState(t, ts.URL, v.ID, StateRunning, 10*time.Second)
+	waitHeartbeat(t, srv, v.ID)
 
 	srv.sweepStuck(time.Now().Add(2 * time.Hour))
 

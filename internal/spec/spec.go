@@ -215,7 +215,6 @@ type Run struct {
 	// Runs is the number of replicas to average (0 = 1).
 	Runs            int    `json:"runs,omitempty"`
 	Jobs            int    `json:"jobs,omitempty"`
-	Workers         int    `json:"workers,omitempty"`
 	Timeout         string `json:"timeout,omitempty"`
 	Check           bool   `json:"check,omitempty"`
 	KeepGoing       bool   `json:"keep_going,omitempty"`
@@ -435,7 +434,6 @@ func (s *Spec) Compile() (*Compiled, error) {
 		}
 		c.Options = core.RunOptions{
 			Jobs:                r.Jobs,
-			Workers:             r.Workers,
 			Check:               r.Check,
 			KeepGoing:           r.KeepGoing,
 			Retries:             r.Retries,

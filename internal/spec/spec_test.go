@@ -155,6 +155,7 @@ func TestParseRejects(t *testing.T) {
 		{"version zero", `{"format": "wormsim-scenario", "version": 0}`, "unsupported version"},
 		{"unknown field", `{"format": "wormsim-scenario", "version": 1, "betas": 0.8}`, "unknown field"},
 		{"unknown nested field", `{"format": "wormsim-scenario", "version": 1, "worm": {"kind": "random", "speed": 3}}`, "unknown field"},
+		{"removed run.workers", "format: wormsim-scenario\nversion: 1\nrun:\n  workers: 2\n", `unknown field "workers"`},
 		{"type mismatch", `{"format": "wormsim-scenario", "version": 1, "ticks": "many"}`, "cannot unmarshal"},
 		{"garbage", "{]", "parse"},
 		{"yaml tab indent", "format: wormsim-scenario\n\tversion: 1\n", "tabs"},

@@ -18,7 +18,7 @@ type PointResult struct {
 	Result *sim.Result
 	// Stats is the replica batch's final runner stats.
 	Stats runner.Stats
-	// Warnings are the scenario's advisory warnings under its options.
+	// Warnings are the scenario's advisory warnings.
 	Warnings []string
 	// Err is the point's failure, when keep-going let the sweep
 	// continue past it.
@@ -81,7 +81,7 @@ func SweepCache(ctx context.Context, s *Spec, mod func(*Compiled), cache *NetCac
 			mod(c)
 		}
 		stats.Points++
-		pr := PointResult{Point: c, Warnings: c.Scenario.Warnings(c.Options)}
+		pr := PointResult{Point: c, Warnings: c.Scenario.Warnings()}
 
 		key, kerr := netCacheKey(c)
 		if kerr != nil {
