@@ -251,21 +251,21 @@ func TestTTLGarbageCollection(t *testing.T) {
 		t.Fatal("done job persisted without a settled timestamp")
 	}
 
+	// The janitor drops the job from the table first and removes its
+	// directory after, counting it in gcRemoved; wait for the count so
+	// the directory check does not race the removal.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if st, _ := jobState(srv, v.ID); st == "" {
+		if st, _ := jobState(srv, v.ID); st == "" && srv.gcRemoved.Load() >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("settled job never garbage-collected")
+			t.Fatalf("settled job never garbage-collected (gcRemoved = %d)", srv.gcRemoved.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("job dir survived GC (stat err %v)", err)
-	}
-	if got := srv.gcRemoved.Load(); got < 1 {
-		t.Fatalf("gcRemoved = %d, want >= 1", got)
 	}
 	// 404 after GC, and a fresh submission still works.
 	gr, err := http.Get(ts.URL + "/jobs/" + v.ID)

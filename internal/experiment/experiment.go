@@ -72,6 +72,38 @@ type Options struct {
 	// invocation (the pointer survives the by-value Options copies the
 	// builders make).
 	ckptSeq *atomic.Int32
+	// traces shares the Section 7 trace among the figures of one
+	// RunAllStats batch (nil outside a batch: each figure generates
+	// its own).
+	traces *traceMemo
+}
+
+// traceMemo generates each synthetic trace configuration at most once
+// per RunAllStats batch. The figures sharing a trace only read it, so
+// concurrent figures may analyze one *trace.Trace at the same time.
+// The memo lives as long as its batch: a second batch regenerates.
+type traceMemo struct {
+	mu     sync.Mutex
+	traces map[trace.GenConfig]func() (*trace.Trace, error)
+}
+
+// generate returns the trace for cfg, generating it on first use. A nil
+// memo generates directly.
+func (m *traceMemo) generate(cfg trace.GenConfig) (*trace.Trace, error) {
+	if m == nil {
+		return trace.Generate(cfg)
+	}
+	m.mu.Lock()
+	gen := m.traces[cfg]
+	if gen == nil {
+		gen = sync.OnceValues(func() (*trace.Trace, error) { return trace.Generate(cfg) })
+		if m.traces == nil {
+			m.traces = make(map[trace.GenConfig]func() (*trace.Trace, error))
+		}
+		m.traces[cfg] = gen
+	}
+	m.mu.Unlock()
+	return gen()
 }
 
 // BatchMetrics accumulates the observability counters of every
@@ -319,6 +351,10 @@ func RunContext(ctx context.Context, id string, opt Options) (*Result, error) {
 // callers fanning out across figures should set Options.Jobs low
 // (cmd/figures uses 1) and let the figure-level pool own the
 // parallelism — whole figures are coarser, more evenly sized units.
+//
+// The figures of one batch that read the same synthetic trace (fig9a,
+// fig9b, tbl-rates, tbl-claims) share a single generation of it; the
+// results are identical to regenerating each figure on its own.
 func RunAll(ctx context.Context, ids []string, opt Options, ropts ...runner.Option) ([]*Result, error) {
 	res, _, err := RunAllStats(ctx, ids, opt, ropts...)
 	return res, err
@@ -334,6 +370,7 @@ func RunAllStats(ctx context.Context, ids []string, opt Options, ropts ...runner
 	if ids == nil {
 		ids = IDs()
 	}
+	opt.traces = new(traceMemo)
 	results := make([]*Result, len(ids))
 	pool := runner.New(ropts...)
 	stats, err := pool.Run(ctx, len(ids), func(ctx context.Context, i int) (runner.Report, error) {

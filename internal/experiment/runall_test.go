@@ -3,10 +3,12 @@ package experiment
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/runner"
+	"repro/internal/trace"
 )
 
 func TestRunAllOrderAndIDs(t *testing.T) {
@@ -64,9 +66,11 @@ func TestRunContextCancelMidFigure(t *testing.T) {
 }
 
 // TestRunAllMatchesRun guards RunAll against diverging from one-at-a-
-// time regeneration: the batched result must be identical.
+// time regeneration: the batched result must be identical. The four
+// trace figures share one trace inside the batch, read concurrently
+// under -race, while Run generates a fresh one per figure.
 func TestRunAllMatchesRun(t *testing.T) {
-	ids := []string{"fig1a", "fig7a"}
+	ids := []string{"fig1a", "fig7a", "fig9a", "fig9b", "tbl-rates", "tbl-claims"}
 	batched, err := RunAll(context.Background(), ids, quickOpts(), runner.WithJobs(2))
 	if err != nil {
 		t.Fatal(err)
@@ -81,14 +85,65 @@ func TestRunAllMatchesRun(t *testing.T) {
 		}
 		for s := range single.Figure.Series {
 			a, b := single.Figure.Series[s], batched[i].Figure.Series[s]
-			if a.Label != b.Label || len(a.Y) != len(b.Y) {
+			if a.Label != b.Label || len(a.X) != len(b.X) || len(a.Y) != len(b.Y) {
 				t.Fatalf("%s series %d: shape differs", id, s)
 			}
 			for k := range a.Y {
-				if a.Y[k] != b.Y[k] {
-					t.Fatalf("%s series %d point %d: %v != %v", id, s, k, a.Y[k], b.Y[k])
+				if a.X[k] != b.X[k] || a.Y[k] != b.Y[k] {
+					t.Fatalf("%s series %d point %d: (%v, %v) != (%v, %v)",
+						id, s, k, a.X[k], a.Y[k], b.X[k], b.Y[k])
 				}
 			}
 		}
+		if len(single.Metrics) != len(batched[i].Metrics) {
+			t.Fatalf("%s: %d metrics single, %d batched", id, len(single.Metrics), len(batched[i].Metrics))
+		}
+		for k, v := range single.Metrics {
+			if w, ok := batched[i].Metrics[k]; !ok || (w != v && !(math.IsNaN(v) && math.IsNaN(w))) {
+				t.Errorf("%s metric %s: %v single, %v batched", id, k, v, w)
+			}
+		}
+	}
+}
+
+// TestTraceFigureCancelled calls a trace figure's builder directly (past
+// RunContext's own check) with a cancelled context: it must stop once
+// the trace is in hand instead of returning a result.
+func TestTraceFigureCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for id, fn := range map[string]builder{"fig9a": Fig9a, "tbl-rates": TableRates, "tbl-claims": TableClaims} {
+		if res, err := fn(ctx, quickOpts()); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: result %v, err = %v, want context.Canceled", id, res != nil, err)
+		}
+	}
+}
+
+// TestTraceMemoSharesWithinBatch checks the batch memo hands every
+// caller one generation per configuration, while a nil memo (a figure
+// run outside RunAllStats) generates afresh.
+func TestTraceMemoSharesWithinBatch(t *testing.T) {
+	cfg := trace.DefaultGenConfig(trace.Minute, 3)
+	cfg.NormalClients, cfg.Servers, cfg.P2PClients, cfg.Infected = 10, 1, 1, 2
+	m := new(traceMemo)
+	a, err := m.generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := m.generate(cfg); b != a {
+		t.Error("same configuration generated twice within one memo")
+	}
+	other := cfg
+	other.Seed++
+	if c, _ := m.generate(other); c == a {
+		t.Error("different configurations share a trace")
+	}
+	var none *traceMemo
+	d, err := none.generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d == a || len(d.Records) != len(a.Records) {
+		t.Errorf("nil memo: got the memo's trace or a different one (%d vs %d records)", len(d.Records), len(a.Records))
 	}
 }

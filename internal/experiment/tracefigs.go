@@ -20,6 +20,19 @@ func traceConfig(opt Options) trace.GenConfig {
 	return cfg
 }
 
+// sectionTrace returns the Section 7 trace for opt and its
+// configuration: the batch's shared copy inside RunAllStats, a fresh
+// generation otherwise. Callers must not modify the trace. It returns
+// ctx's error once the trace is in hand.
+func sectionTrace(ctx context.Context, opt Options) (*trace.Trace, trace.GenConfig, error) {
+	cfg := traceConfig(opt)
+	tr, err := opt.traces.generate(cfg)
+	if err != nil {
+		return nil, cfg, err
+	}
+	return tr, cfg, ctx.Err()
+}
+
 // cdfSeries converts a histogram to a CDF plot series, skipping the
 // zero bucket so the log-x rendering matches the paper's 1..1000 axis.
 func cdfSeries(label string, h *trace.Histogram) plot.Series {
@@ -41,9 +54,8 @@ func cdfSeries(label string, h *trace.Histogram) plot.Series {
 
 // fig9 builds one panel of Figure 9: the CDF of aggregate contact rates
 // in 5-second windows for one host class, under the three refinements.
-func fig9(opt Options, id string, class trace.Class, paper string) (*Result, error) {
-	cfg := traceConfig(opt)
-	tr, err := trace.Generate(cfg)
+func fig9(ctx context.Context, opt Options, id string, class trace.Class, paper string) (*Result, error) {
+	tr, cfg, err := sectionTrace(ctx, opt)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %s: %w", id, err)
 	}
@@ -78,14 +90,14 @@ func fig9(opt Options, id string, class trace.Class, paper string) (*Result, err
 
 // Fig9a regenerates Figure 9(a): normal desktop clients.
 func Fig9a(ctx context.Context, opt Options) (*Result, error) {
-	return fig9(opt, "fig9a", trace.ClassNormal,
+	return fig9(ctx, opt, "fig9a", trace.ClassNormal,
 		"Normal clients: 99.9% of 5s windows within 16/14/9 contacts (all/no-prior/non-DNS)")
 }
 
 // Fig9b regenerates Figure 9(b): worm-infected hosts, whose scanning
 // spikes all three refinements together.
 func Fig9b(ctx context.Context, opt Options) (*Result, error) {
-	return fig9(opt, "fig9b", trace.ClassInfected,
+	return fig9(ctx, opt, "fig9b", trace.ClassInfected,
 		"Infected hosts: contact rates orders of magnitude higher; refinements indistinguishable")
 }
 
@@ -94,8 +106,7 @@ func Fig9b(ctx context.Context, opt Options) (*Result, error) {
 // per-host limits, and the window-size scaling of the aggregate non-DNS
 // rate.
 func TableRates(ctx context.Context, opt Options) (*Result, error) {
-	cfg := traceConfig(opt)
-	tr, err := trace.Generate(cfg)
+	tr, cfg, err := sectionTrace(ctx, opt)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: tbl-rates: %w", err)
 	}
@@ -119,7 +130,7 @@ func TableRates(ctx context.Context, opt Options) (*Result, error) {
 			X:     []float64{1, 2, 3},
 			Y:     []float64{float64(all), float64(noPrior), float64(nonDNS)},
 		})
-		return nil
+		return ctx.Err()
 	}
 	if err := aggregate("normal", trace.ClassNormal); err != nil {
 		return nil, fmt.Errorf("experiment: tbl-rates: %w", err)
@@ -137,6 +148,9 @@ func TableRates(ctx context.Context, opt Options) (*Result, error) {
 	metrics["perhost_nonDNS"] = float64(hNonDNS)
 	// Window scaling of the aggregate non-DNS rate (1 s / 5 s / 60 s).
 	for _, w := range []int64{trace.Second, 5 * trace.Second, 60 * trace.Second} {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("experiment: tbl-rates: %w", err)
+		}
 		stats, err := trace.AnalyzeAggregate(tr, cfg.HostsOfClass(trace.ClassNormal), w)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: tbl-rates: %w", err)
@@ -156,8 +170,7 @@ func TableRates(ctx context.Context, opt Options) (*Result, error) {
 // are not tied to a single figure: the worm peak scan rates and the
 // classification of the monitored population.
 func TableClaims(ctx context.Context, opt Options) (*Result, error) {
-	cfg := traceConfig(opt)
-	tr, err := trace.Generate(cfg)
+	tr, cfg, err := sectionTrace(ctx, opt)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: tbl-claims: %w", err)
 	}

@@ -7,12 +7,16 @@
 //
 // Two next-hop representations exist. The dense form
 // (Links.HopTable) stores every (source, destination) next hop in one
-// O(N²) slice — exact, including tie-breaks, and the right choice for
-// paper-sized graphs. Structural (NewStructural) serves host-majority
-// graphs (star, hierarchical, two-level, m=1 power-law) with host
-// up-links plus a core-only table — O(N + core²), same hop counts,
-// possibly different equal-length tie-breaks; the simulation engine
-// switches to it above a node-count threshold (DESIGN.md §9).
+// O(N²) slice, the right choice for paper-sized graphs. Structural
+// (NewStructural) serves host-majority graphs (star, hierarchical,
+// two-level, m=1 power-law) with host up-links plus a core-only table
+// — O(N + core²) — and returns exactly the dense table's next-hop
+// links, equal-length tie-breaks included: both break ties by a BFS
+// from the destination in neighbor insertion order, and a degree-1
+// host is a BFS leaf that never changes the order the core is
+// discovered in. The simulation engine switches to it above a
+// node-count threshold (DESIGN.md §9); the two modes give identical
+// results.
 package routing
 
 import (

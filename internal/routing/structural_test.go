@@ -28,6 +28,12 @@ func structuralGraphs(t *testing.T) map[string]*topology.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tl3, _, _, err := topology.TwoLevel(topology.TwoLevelConfig{
+		ASes: 24, AttachM: 3, TransitFraction: 0.25, HostsPerStub: 8,
+	}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// An m=1 preferential-attachment tree: most nodes are degree-1
 	// leaves, so it qualifies even without an explicit host tier.
 	ba1, err := topology.BarabasiAlbert(150, 1, rand.New(rand.NewSource(3)))
@@ -35,13 +41,17 @@ func structuralGraphs(t *testing.T) map[string]*topology.Graph {
 		t.Fatal(err)
 	}
 	return map[string]*topology.Graph{
-		"star": star, "hierarchical": hg, "twolevel": tl, "ba-m1": ba1,
+		"star": star, "hierarchical": hg, "twolevel": tl, "twolevel-m3": tl3, "ba-m1": ba1,
 	}
 }
 
-// TestStructuralMatchesDense: every structural route must reach its
-// destination in exactly the dense table's shortest-path hop count
-// (tie-breaks may differ; optimality may not).
+// TestStructuralMatchesDense: every structural next hop must be the
+// very directed link the dense hop table stores — equal-length
+// tie-breaks included — and every structural route must reach its
+// destination in the shortest-path hop count. Both tables break ties
+// by a BFS from the destination in neighbor insertion order, and a
+// host is a BFS leaf, so it never changes the order in which the core
+// is discovered.
 func TestStructuralMatchesDense(t *testing.T) {
 	for name, g := range structuralGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -54,12 +64,16 @@ func TestStructuralMatchesDense(t *testing.T) {
 				t.Fatalf("hosts %d + core %d != n %d", s.Hosts(), s.Core(), g.N())
 			}
 			tab := Build(g)
+			hop := links.HopTable(tab)
 			n := g.N()
 			for u := 0; u < n; u++ {
 				if s.HopLink(u, u) != -1 {
 					t.Fatalf("HopLink(%d,%d) = %d, want -1", u, u, s.HopLink(u, u))
 				}
 				for d := 0; d < n; d++ {
+					if got, want := s.HopLink(u, d), hop[u*n+d]; got != want {
+						t.Fatalf("HopLink(%d,%d) = %d, dense table has %d", u, d, got, want)
+					}
 					if d == u {
 						continue
 					}

@@ -11,11 +11,10 @@ import (
 )
 
 // TestStructuralRoutingEquivalence: above the structural threshold the
-// engine routes without the dense hop table. On an open network (no
-// rate limits, no bounded queues) every packet still crosses one link
-// per tick along a shortest path, so the series must match a forced
-// dense-table engine exactly — path tie-breaks cannot show up without
-// link contention.
+// engine routes without the dense hop table. The structural router
+// returns the dense table's next-hop link for every pair
+// (routing.TestStructuralMatchesDense), so the series must match a
+// forced dense-table engine exactly.
 func TestStructuralRoutingEquivalence(t *testing.T) {
 	g, _, _, err := topology.TwoLevel(topology.TwoLevelConfig{
 		ASes: 40, AttachM: 2, TransitFraction: 0.2, HostsPerStub: 128,

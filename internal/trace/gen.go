@@ -2,8 +2,9 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/ratelimit"
 	"repro/internal/worm"
@@ -47,7 +48,8 @@ func (c Class) String() string {
 // GenConfig configures the synthetic trace generator. The zero value is
 // not usable; start from DefaultGenConfig.
 type GenConfig struct {
-	// Duration is the trace length in milliseconds.
+	// Duration is the trace length in milliseconds. Generate takes at
+	// most 2^32 ms (about 49.7 days); the streaming replayer has no cap.
 	Duration int64
 	// Seed drives all randomness.
 	Seed int64
@@ -59,6 +61,10 @@ type GenConfig struct {
 	// WormOnset is when infected hosts begin scanning.
 	WormOnset int64
 }
+
+// maxDuration bounds GenConfig.Duration so every intent time fits the
+// upper half of Generate's 64-bit sort key.
+const maxDuration = 1 << 32
 
 // DefaultGenConfig returns the paper-shaped configuration for the given
 // duration and seed.
@@ -195,27 +201,47 @@ type intent struct {
 }
 
 // Generate synthesizes a trace per cfg. The result is time-sorted.
+//
+// Order contract: intents are generated host by host in index order
+// (an infected host's background browsing before its scans) and then
+// ordered by time, ties kept in generation order — host order first,
+// then the order the host's generator emitted them. Records are
+// expanded in that order and stably sorted by time, so a trace is a
+// pure function of cfg.
 func Generate(cfg GenConfig) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Duration > maxDuration {
+		return nil, fmt.Errorf("trace: duration %d ms exceeds the generator's limit of %d ms", cfg.Duration, int64(maxDuration))
 	}
 	var intents []intent
 	for h := 0; h < cfg.NumHosts(); h++ {
 		rng := rand.New(rand.NewSource(cfg.Seed ^ (0x5E3779B97F4A7C15 * int64(h+1))))
 		switch cfg.HostClass(h) {
 		case ClassNormal:
-			intents = append(intents, genNormal(cfg, h, rng)...)
+			intents = genNormal(intents, cfg, h, rng)
 		case ClassServer:
-			intents = append(intents, genServer(cfg, h, rng)...)
+			intents = genServer(intents, cfg, h, rng)
 		case ClassP2P:
-			intents = append(intents, genP2P(cfg, h, rng)...)
+			intents = genP2P(intents, cfg, h, rng)
 		case ClassInfected:
-			intents = append(intents, genNormal(cfg, h, rng)...) // background
-			intents = append(intents, genWorm(cfg, h, rng)...)
+			intents = genNormal(intents, cfg, h, rng) // background
+			intents = genWorm(intents, cfg, h, rng)
 		}
 	}
-	sort.SliceStable(intents, func(i, j int) bool { return intents[i].time < intents[j].time })
-	return expand(cfg, intents), nil
+	if uint64(len(intents)) > math.MaxUint32 {
+		return nil, fmt.Errorf("trace: %d planned contacts exceed the generator's limit", len(intents))
+	}
+	// Each key packs (time, generation index) into one uint64; times are
+	// below Duration <= maxDuration. The pair is a total order, so
+	// sorting the keys gives exactly the stable time order.
+	order := make([]uint64, len(intents))
+	for i := range intents {
+		order[i] = uint64(intents[i].time)<<32 | uint64(i)
+	}
+	slices.Sort(order)
+	return expand(cfg, intents, order), nil
 }
 
 // externalIP draws a random address outside the monitored network.
@@ -238,9 +264,8 @@ func expDelay(rng *rand.Rand, meanMS float64) int64 {
 	return d
 }
 
-// genNormal plans a desktop client's browsing sessions.
-func genNormal(cfg GenConfig, h int, rng *rand.Rand) []intent {
-	var out []intent
+// genNormal appends a desktop client's browsing sessions to out.
+func genNormal(out []intent, cfg GenConfig, h int, rng *rand.Rand) []intent {
 	sessionGap := float64(Hour) / normalSessionsPerHour
 	for t := expDelay(rng, sessionGap); t < cfg.Duration; t += expDelay(rng, sessionGap) {
 		// One browsing session: a page-load burst of destinations within
@@ -273,10 +298,9 @@ func genNormal(cfg GenConfig, h int, rng *rand.Rand) []intent {
 	return out
 }
 
-// genServer plans a server's traffic: heavy inbound, rare fresh
-// outbound.
-func genServer(cfg GenConfig, h int, rng *rand.Rand) []intent {
-	var out []intent
+// genServer appends a server's traffic to out: heavy inbound, rare
+// fresh outbound.
+func genServer(out []intent, cfg GenConfig, h int, rng *rand.Rand) []intent {
 	// Inbound requests (planned as prior-contact replies: the expansion
 	// pass emits the inbound packet first, then our response).
 	gap := float64(Minute) / serverInboundPerMinute
@@ -309,9 +333,8 @@ func genServer(cfg GenConfig, h int, rng *rand.Rand) []intent {
 	return out
 }
 
-// genP2P plans a peer-to-peer client's churn.
-func genP2P(cfg GenConfig, h int, rng *rand.Rand) []intent {
-	var out []intent
+// genP2P appends a peer-to-peer client's churn to out.
+func genP2P(out []intent, cfg GenConfig, h int, rng *rand.Rand) []intent {
 	port := p2pPorts[rng.Intn(len(p2pPorts))]
 	gap := float64(Minute) / p2pContactsPerMinute
 	for t := expDelay(rng, gap); t < cfg.Duration; t += expDelay(rng, gap) {
@@ -338,10 +361,10 @@ func genP2P(cfg GenConfig, h int, rng *rand.Rand) []intent {
 	return out
 }
 
-// genWorm plans an infected host's scanning.
-func genWorm(cfg GenConfig, h int, rng *rand.Rand) []intent {
+// genWorm appends an infected host's scans to out, minute by minute
+// (not time-sorted: Generate's sort orders them).
+func genWorm(out []intent, cfg GenConfig, h int, rng *rand.Rand) []intent {
 	blaster := rng.Float64() < cfg.BlasterFraction
-	var out []intent
 	// Scan minute by minute with a per-minute rate draw, so peak bursts
 	// and lulls both appear, as in the paper's footnote.
 	for minute := cfg.WormOnset / Minute; minute*Minute < cfg.Duration; minute++ {
@@ -386,14 +409,14 @@ func genWorm(cfg GenConfig, h int, rng *rand.Rand) []intent {
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].time < out[j].time })
 	return out
 }
 
-// expand turns time-ordered intents into records, inserting upstream DNS
+// expand turns intents, visited in the order of Generate's sorted keys
+// (the low 32 bits index intents), into records, inserting upstream DNS
 // resolutions (shared network cache), inbound precursors for
 // prior-contact targets, and Welchia ping replies + exploit follow-ups.
-func expand(cfg GenConfig, intents []intent) *Trace {
+func expand(cfg GenConfig, intents []intent, order []uint64) *Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
 	dnsServer := HostIP(cfg.NormalClients + DNSServerHost)
 	hasDNSServer := cfg.Servers > 0
@@ -402,8 +425,8 @@ func expand(cfg GenConfig, intents []intent) *Trace {
 	upstream := externalIP(rng) // the upstream resolver
 
 	t := &Trace{Records: make([]Record, 0, len(intents)*2)}
-	for i := range intents {
-		in := &intents[i]
+	for _, key := range order {
+		in := &intents[uint32(key)]
 		src := HostIP(in.host)
 		if in.needDNS && hasDNSServer {
 			if exp, ok := dnsCache[in.target]; !ok || in.time > exp {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/worm"
@@ -128,6 +130,17 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The serialized trace is pinned, so the generator's order contract
+	// (time, then host, then generation order) cannot drift between
+	// builds. A deliberate change to the generator must update the hash.
+	h := sha256.New()
+	if _, err := a.WriteTo(h); err != nil {
+		t.Fatal(err)
+	}
+	const wantSHA = "95089c9186891b10bcd9e9519f8075a43a6590bcfa924c0a1587105331d3a5e5"
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantSHA {
+		t.Errorf("trace SHA-256 = %s, want %s", got, wantSHA)
+	}
 	b, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +177,14 @@ func TestGenerateBadConfig(t *testing.T) {
 	cfg.Duration = -1
 	if _, err := Generate(cfg); err == nil {
 		t.Error("invalid config should fail")
+	}
+	// Valid for the streaming replayer, too long for Generate's sort key.
+	cfg.Duration = maxDuration + 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if _, err := Generate(cfg); err == nil {
+		t.Error("duration beyond the generator's limit should fail")
 	}
 }
 

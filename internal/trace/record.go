@@ -20,10 +20,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/ratelimit"
 	"repro/internal/worm"
@@ -117,9 +118,7 @@ type Trace struct {
 // Sort orders the records by time (stable, so same-timestamp records
 // keep generation order).
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		return t.Records[i].Time < t.Records[j].Time
-	})
+	slices.SortStableFunc(t.Records, func(a, b Record) int { return cmp.Compare(a.Time, b.Time) })
 }
 
 // Duration returns the time of the last record (0 for an empty trace).

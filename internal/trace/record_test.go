@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ratelimit"
 	"repro/internal/worm"
 )
 
@@ -53,10 +54,19 @@ func TestIsDNSResponse(t *testing.T) {
 }
 
 func TestTraceSortAndDuration(t *testing.T) {
-	tr := &Trace{Records: []Record{{Time: 5}, {Time: 1}, {Time: 3}}}
+	// Src numbers the records in input order; the sort must keep that
+	// order among equal timestamps. Enough records that the sort cannot
+	// finish with a (stable) insertion sort alone.
+	tr := &Trace{}
+	for i := 0; i < 100; i++ {
+		tr.Records = append(tr.Records, Record{Time: int64((i * 7) % 6), Src: ratelimit.IP(i)})
+	}
 	tr.Sort()
-	if tr.Records[0].Time != 1 || tr.Records[2].Time != 5 {
-		t.Error("sort failed")
+	for i := 1; i < len(tr.Records); i++ {
+		a, b := tr.Records[i-1], tr.Records[i]
+		if a.Time > b.Time || (a.Time == b.Time && a.Src > b.Src) {
+			t.Fatalf("records %d, %d = %+v, %+v: sort must be stable by time", i-1, i, a, b)
+		}
 	}
 	if tr.Duration() != 5 {
 		t.Errorf("Duration = %d, want 5", tr.Duration())

@@ -2,10 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/ratelimit"
@@ -72,7 +73,7 @@ func (r *Replayer) Contacts(tick int) ([]Contact, error) {
 	if err := r.fill(lo, hi, func(c Contact) { r.buf = append(r.buf, c) }); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(r.buf, func(i, j int) bool { return r.buf[i].Host < r.buf[j].Host })
+	slices.SortStableFunc(r.buf, func(a, b Contact) int { return cmp.Compare(a.Host, b.Host) })
 	r.nextTick++
 	return r.buf, nil
 }
