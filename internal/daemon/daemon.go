@@ -399,7 +399,14 @@ func (s *Server) runJob(j *Job) {
 
 	s.mu.Lock()
 	j.cancel = cancel
+	// A Cancel between nextJob marking the job running and this point
+	// found no cancel func for this run (none yet, or the previous
+	// run's after a watchdog re-enqueue); honour it now.
+	canceled := j.canceled
 	s.mu.Unlock()
+	if canceled {
+		cancel()
+	}
 	// Arm the watchdog heartbeat at the start: a job must not count as
 	// stuck before its first tick just because topology construction
 	// takes a while.

@@ -290,7 +290,10 @@ func TestDrainLeavesResumableState(t *testing.T) {
 	v := submit(t, ts.URL, testSpec("drain", 150, 1_000_000, 1, ""), "")
 	waitJobState(t, ts.URL, v.ID, StateRunning, 10*time.Second)
 	// Let the engine tick before draining, so the cancellation-boundary
-	// checkpoint has progress to save.
+	// checkpoint has progress to save. The job reads as running before
+	// runJob arms the heartbeat, so wait for the arming first: it is
+	// not a tick.
+	waitHeartbeat(t, srv, v.ID)
 	j := srv.lookup(v.ID)
 	start := j.lastBeat.Load()
 	deadline := time.Now().Add(10 * time.Second)

@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -258,41 +260,46 @@ type Result struct {
 // simulation ticks, so a cancelled context aborts a figure mid-run.
 type builder func(context.Context, Options) (*Result, error)
 
-// registry maps figure IDs to builders in presentation order.
+// registry maps figure IDs to builders in presentation order. cost is
+// the figure's run time in seconds, regenerated alone on one core at 5
+// replicas and a 45-minute trace; only its ranking matters, as the
+// dispatch order of RunAllStats.
 func registry() []struct {
-	id string
-	fn builder
+	id   string
+	fn   builder
+	cost float64
 } {
 	return []struct {
-		id string
-		fn builder
+		id   string
+		fn   builder
+		cost float64
 	}{
-		{"fig1a", Fig1a},
-		{"fig1b", Fig1b},
-		{"fig2", Fig2},
-		{"fig3a", Fig3a},
-		{"fig3b", Fig3b},
-		{"fig4", Fig4},
-		{"fig5", Fig5},
-		{"fig6", Fig6},
-		{"fig7a", Fig7a},
-		{"fig7b", Fig7b},
-		{"fig8a", Fig8a},
-		{"fig8b", Fig8b},
-		{"fig9a", Fig9a},
-		{"fig9b", Fig9b},
-		{"fig10", Fig10},
-		{"tbl-rates", TableRates},
-		{"tbl-claims", TableClaims},
-		{"collateral", Collateral},
-		{"abl-targeting", AblTargeting},
-		{"abl-queue", AblQueueVsDrop},
-		{"abl-weights", AblLinkWeights},
-		{"abl-patch", AblPatchInfected},
-		{"abl-probe", AblProbeFirst},
-		{"abl-topology", AblTopology},
-		{"abl-hybrid", AblHybridWindow},
-		{"fault-detector", FaultDetector},
+		{"fig1a", Fig1a, 0},
+		{"fig1b", Fig1b, 0.1},
+		{"fig2", Fig2, 0},
+		{"fig3a", Fig3a, 0},
+		{"fig3b", Fig3b, 0},
+		{"fig4", Fig4, 3.2},
+		{"fig5", Fig5, 3.6},
+		{"fig6", Fig6, 4.2},
+		{"fig7a", Fig7a, 0},
+		{"fig7b", Fig7b, 0},
+		{"fig8a", Fig8a, 0.4},
+		{"fig8b", Fig8b, 1},
+		{"fig9a", Fig9a, 1.4},
+		{"fig9b", Fig9b, 1.5},
+		{"fig10", Fig10, 0},
+		{"tbl-rates", TableRates, 3},
+		{"tbl-claims", TableClaims, 1.6},
+		{"collateral", Collateral, 2},
+		{"abl-targeting", AblTargeting, 6.3},
+		{"abl-queue", AblQueueVsDrop, 1.7},
+		{"abl-weights", AblLinkWeights, 1.8},
+		{"abl-patch", AblPatchInfected, 0.3},
+		{"abl-probe", AblProbeFirst, 4.3},
+		{"abl-topology", AblTopology, 6.1},
+		{"abl-hybrid", AblHybridWindow, 0},
+		{"fault-detector", FaultDetector, 2.6},
 	}
 }
 
@@ -355,6 +362,9 @@ func RunContext(ctx context.Context, id string, opt Options) (*Result, error) {
 // The figures of one batch that read the same synthetic trace (fig9a,
 // fig9b, tbl-rates, tbl-claims) share a single generation of it; the
 // results are identical to regenerating each figure on its own.
+//
+// Figures start costliest first (see dispatchOrder), so completion
+// order is not ids order.
 func RunAll(ctx context.Context, ids []string, opt Options, ropts ...runner.Option) ([]*Result, error) {
 	res, _, err := RunAllStats(ctx, ids, opt, ropts...)
 	return res, err
@@ -366,14 +376,18 @@ func RunAll(ctx context.Context, ids []string, opt Options, ropts ...runner.Opti
 // fails (after any runner.WithRetry attempts) leaves a nil slot in the
 // results and an entry in Stats.Failures instead of aborting the
 // batch; only a batch where every figure failed returns an error.
+// The returned Stats.Failures index ids; the snapshots handed to a
+// runner.WithProgress callback index the dispatch order instead.
 func RunAllStats(ctx context.Context, ids []string, opt Options, ropts ...runner.Option) ([]*Result, runner.Stats, error) {
 	if ids == nil {
 		ids = IDs()
 	}
 	opt.traces = new(traceMemo)
 	results := make([]*Result, len(ids))
+	order := dispatchOrder(ids)
 	pool := runner.New(ropts...)
-	stats, err := pool.Run(ctx, len(ids), func(ctx context.Context, i int) (runner.Report, error) {
+	stats, err := pool.Run(ctx, len(ids), func(ctx context.Context, k int) (runner.Report, error) {
+		i := order[k]
 		res, err := RunContext(ctx, ids[i], opt)
 		if err != nil {
 			return runner.Report{}, fmt.Errorf("experiment: %s: %w", ids[i], err)
@@ -385,6 +399,9 @@ func RunAllStats(ctx context.Context, ids []string, opt Options, ropts ...runner
 		}
 		return rep, nil
 	})
+	for j := range stats.Failures {
+		stats.Failures[j].Index = order[stats.Failures[j].Index]
+	}
 	if err != nil {
 		return nil, stats, err
 	}
@@ -401,6 +418,25 @@ func RunAllStats(ctx context.Context, ids []string, opt Options, ropts ...runner
 		}
 	}
 	return results, stats, nil
+}
+
+// dispatchOrder returns the indices of ids costliest first by registry
+// cost, ties (and unknown IDs, cost 0) in ids order. Started in that
+// order, the long figures run side by side early and the short ones
+// fill in at the end, so the last figure to finish is a short one: a
+// batch's wall time stays near its total work over the workers instead
+// of depending on which worker a late long figure happens to land on.
+func dispatchOrder(ids []string) []int {
+	cost := make(map[string]float64)
+	for _, r := range registry() {
+		cost[r.id] = r.cost
+	}
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cost[ids[b]], cost[ids[a]]) })
+	return order
 }
 
 // figureTicks estimates the simulated ticks behind one figure result

@@ -37,6 +37,48 @@ func TestRunAllOrderAndIDs(t *testing.T) {
 	}
 }
 
+// TestDispatchOrder checks RunAllStats' dispatch order is a permutation
+// of ids with costs non-increasing and ties (unknown IDs included) kept
+// in ids order.
+func TestDispatchOrder(t *testing.T) {
+	cost := make(map[string]float64)
+	for _, r := range registry() {
+		cost[r.id] = r.cost
+	}
+	ids := append([]string{"figZZ"}, IDs()...)
+	order := dispatchOrder(ids)
+	seen := make([]bool, len(ids))
+	for k, i := range order {
+		if i < 0 || i >= len(ids) || seen[i] {
+			t.Fatalf("order %v is not a permutation of %d ids", order, len(ids))
+		}
+		seen[i] = true
+		if k == 0 {
+			continue
+		}
+		p := order[k-1]
+		if cost[ids[p]] < cost[ids[i]] || (cost[ids[p]] == cost[ids[i]] && p > i) {
+			t.Errorf("position %d: %s (cost %v) before %s (cost %v)", k, ids[p], cost[ids[p]], ids[i], cost[ids[i]])
+		}
+	}
+	if ids[order[0]] == "fig1a" || ids[order[len(order)-1]] == "abl-topology" {
+		t.Errorf("simulation figures should lead the analytic ones: %v", order)
+	}
+}
+
+// TestRunAllFailureIndexesIDs checks Stats.Failures name the failed
+// figure by its position in ids, not by its dispatch position.
+func TestRunAllFailureIndexesIDs(t *testing.T) {
+	ids := []string{"fig1a", "figZZ", "fig1b"} // fig1b dispatches first
+	_, stats, err := RunAllStats(context.Background(), ids, quickOpts(), runner.WithJobs(1), runner.WithKeepGoing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Failures) != 1 || stats.Failures[0].Index != 1 {
+		t.Fatalf("failures = %+v, want one at index 1 (figZZ)", stats.Failures)
+	}
+}
+
 func TestRunAllUnknownIDFails(t *testing.T) {
 	_, err := RunAll(context.Background(), []string{"fig1a", "figZZ"}, quickOpts(), runner.WithJobs(1))
 	if err == nil {
